@@ -29,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"sort"
 
 	"repro/internal/dtm"
@@ -549,19 +548,10 @@ func (g *Gang) Stats() GangStats { return g.stats }
 // order of the configs passed to NewGang. Context checks and scheduler
 // yields are paced on class-cycles, mirroring the solo Run loop.
 func (g *Gang) Run(ctx context.Context) ([]*Result, error) {
-	done := ctx.Done()
-	check := g.stats.ClassCycles + ctxCheckInterval
+	p := newRunPacer(ctx)
 	for g.Step() {
-		if g.stats.ClassCycles >= check {
-			check = g.stats.ClassCycles + ctxCheckInterval
-			if done != nil {
-				select {
-				case <-done:
-					return nil, context.Cause(ctx)
-				default:
-				}
-			}
-			runtime.Gosched()
+		if err := p.poll(g.stats.ClassCycles); err != nil {
+			return nil, err
 		}
 	}
 	return g.results, nil

@@ -2,12 +2,15 @@ package sim_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/dtm"
 	"repro/internal/floorplan"
 	"repro/internal/sensor"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // steadyMulticore builds a multicore sim on the hot-neighbor scenario with
@@ -158,5 +161,67 @@ func TestMulticoreValidation(t *testing.T) {
 	bad.InitTemps = []float64{100}
 	if _, err := sim.NewMulticore(bad); err == nil {
 		t.Error("accepted short InitTemps")
+	}
+}
+
+// TestMulticoreMatchesSoloAtOneCore cross-checks the two drivers of the
+// thermal engine: a 1-core Multicore runs on TileConfig(1), which is the
+// solo floorplan with tangential coupling, so it must reproduce a solo
+// Sim with Tangential set exactly — per-block temperatures and threshold
+// counts, the chip-wide unions, cycles and instructions. Both drivers
+// clamp fast-path windows to the manager's sampling interval, so the PI
+// cases hold on the window path too.
+func TestMulticoreMatchesSoloAtOneCore(t *testing.T) {
+	skipMulticoreMatrixUnderRace(t)
+	const insts = 150_000
+	hot := make([]float64, floorplan.NumBlocks)
+	for i := range hot {
+		hot[i] = 112 // above both thresholds: cooling and reheating crossings
+	}
+	for _, tc := range []struct {
+		pi     bool
+		stride uint64
+	}{{false, 1}, {true, 1}, {true, 0}} {
+		tc := tc
+		t.Run(fmt.Sprintf("pi=%v/stride=%d", tc.pi, tc.stride), func(t *testing.T) {
+			t.Parallel()
+			solo := sim.Config{Workload: sim.HotProfile(), MaxInsts: insts,
+				Tangential: true, ThermalStride: tc.stride, InitTemps: hot}
+			multi := sim.MulticoreConfig{Workloads: []workload.Profile{sim.HotProfile()},
+				MaxInsts: insts, ThermalStride: tc.stride, InitTemps: hot}
+			if tc.pi {
+				solo.Manager = sim.NewPIManager(111.1)
+				multi.Managers = []*dtm.Manager{sim.NewPIManager(111.1)}
+			}
+			want, err := sim.Run(solo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.RunMulticore(context.Background(), multi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.EmergencyCycles == 0 || want.StressCycles == want.Cycles {
+				t.Fatalf("no threshold crossings to compare (E=%d S=%d of %d cycles)",
+					want.EmergencyCycles, want.StressCycles, want.Cycles)
+			}
+			if got.Cycles != want.Cycles || got.Insts != want.Insts {
+				t.Errorf("cycles/insts = %d/%d, solo %d/%d", got.Cycles, got.Insts, want.Cycles, want.Insts)
+			}
+			if got.EmergencyCycles != want.EmergencyCycles || got.StressCycles != want.StressCycles {
+				t.Errorf("chip emergency/stress = %d/%d, solo %d/%d",
+					got.EmergencyCycles, got.StressCycles, want.EmergencyCycles, want.StressCycles)
+			}
+			core := &got.PerCore[0]
+			if core.EmergencyCycles != want.EmergencyCycles || core.StressCycles != want.StressCycles {
+				t.Errorf("core emergency/stress = %d/%d, solo %d/%d",
+					core.EmergencyCycles, core.StressCycles, want.EmergencyCycles, want.StressCycles)
+			}
+			for i, wb := range want.Blocks {
+				if gb := core.Blocks[i]; gb != wb {
+					t.Errorf("block %d = %+v, solo %+v", i, gb, wb)
+				}
+			}
+		})
 	}
 }

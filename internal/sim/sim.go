@@ -15,7 +15,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -323,18 +322,19 @@ type Sim struct {
 	cfg      Config
 	core     *pipeline.Core
 	pmodel   *power.Model
-	net      *thermal.Network
 	mgr      *dtm.Manager
 	chipNode *thermal.ChipModel
 	res      *Result
 
+	// The thermal network, its window state and the thermal result
+	// accumulators (one group: the chip).
+	thermalEngine
+
 	// Per-cycle state. Every slice is sized at construction.
 	act       pipeline.Activity
 	powerVec  []float64
-	temps     []float64
 	sensed    []float64
 	leakPeak  []float64 // hoisted net.Block(i).PeakPower lookups
-	blockTemp []stats.Running
 	chipPower stats.Running
 	proxies   []proxyPair
 	monitor   []int
@@ -356,21 +356,12 @@ type Sim struct {
 	actFetchLimit    int
 	actMaxUnresolved int
 
-	// Macro-stepped thermal fast path. While fast is set, per-cycle
-	// block power is accumulated into powerAcc and the RC network is
-	// advanced once per window with the exact exponential solution;
-	// s.temps holds the window-start temperatures in between (frozen
-	// for the leakage term). winLen/winLeft track the current window,
-	// whose length is the stride clamped to the next cycle that needs
-	// fresh temperatures.
-	fast        bool
-	stride      uint64
-	winLen      uint64
-	winLeft     uint64
-	winFlushed  bool // this cycle ended a window
+	// Macro-stepped thermal fast path: the engine's windows are the
+	// stride clamped to the next cycle that needs fresh temperatures.
+	// winFlushed/winFlushLen tell the trace tail that this cycle ended a
+	// window of that length.
+	winFlushed  bool
 	winFlushLen uint64
-	powerAcc    []float64
-	winTss      []float64
 
 	// Pipeline surrogate (Config.PipelineSurrogate). gen is the live
 	// workload generator, retained so replay can advance the stream and
@@ -527,11 +518,26 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	}
 
 	nblk := net.NumBlocks()
+	// Thermal integration mode. Power proxies need the per-cycle
+	// emergency signal and the coupled chip/sink model re-couples the
+	// sink temperature every cycle, so both require the Euler path.
+	fastOK := len(cfg.ProxyWindows) == 0 && !cfg.CoupleChipSink
+	stride := cfg.ThermalStride
+	if stride == 0 {
+		stride = 1
+		if fastOK {
+			stride = DefaultThermalStride
+		}
+	}
+	if stride > 1 && !fastOK {
+		return nil, fmt.Errorf("sim: ThermalStride %d requires per-cycle temperatures (proxies/coupled sink); set ThermalStride to 0 or 1", cfg.ThermalStride)
+	}
+	eng := newThermalEngine(net, cfg.Thresholds, nblk, stride)
 	res := &Result{
 		Benchmark: cfg.Workload.Name,
 		Policy:    policyName,
 		Dims:      runDims(cfg),
-		Blocks:    make([]BlockResult, nblk),
+		Blocks:    eng.blocks,
 	}
 	for i := range res.Blocks {
 		res.Blocks[i].Name = net.Block(i).ID.String()
@@ -588,22 +594,20 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	}
 
 	s := &Sim{
-		cfg:      cfg,
-		core:     core,
-		pmodel:   pmodel,
-		net:      net,
-		mgr:      mgr,
-		chipNode: chipNode,
-		res:      res,
-		gen:      gen,
+		cfg:           cfg,
+		core:          core,
+		pmodel:        pmodel,
+		mgr:           mgr,
+		chipNode:      chipNode,
+		res:           res,
+		gen:           gen,
+		thermalEngine: eng,
 
-		powerVec:  make([]float64, nblk),
-		temps:     make([]float64, nblk),
-		sensed:    make([]float64, nblk),
-		leakPeak:  make([]float64, nblk),
-		blockTemp: make([]stats.Running, nblk),
-		proxies:   proxies,
-		monitor:   monitorIdx,
+		powerVec: make([]float64, nblk),
+		sensed:   make([]float64, nblk),
+		leakPeak: make([]float64, nblk),
+		proxies:  proxies,
+		monitor:  monitorIdx,
 
 		dt:         tcfg.CycleTime,
 		duty:       1,
@@ -623,27 +627,7 @@ func newWith(cfg Config, gen *workload.Generator, core *pipeline.Core, pmodel *p
 	for i := 0; i < nblk; i++ {
 		s.leakPeak[i] = net.Block(i).PeakPower
 	}
-	net.Temps(s.temps) // prime last-cycle temperatures for the leakage term
-
-	// Thermal integration mode. Power proxies need the per-cycle
-	// emergency signal and the coupled chip/sink model re-couples the
-	// sink temperature every cycle, so both require the Euler path.
-	fastOK := !s.hasProxies && !cfg.CoupleChipSink
-	stride := cfg.ThermalStride
-	if stride == 0 {
-		stride = 1
-		if fastOK {
-			stride = DefaultThermalStride
-		}
-	}
-	if stride > 1 && !fastOK {
-		return nil, fmt.Errorf("sim: ThermalStride %d requires per-cycle temperatures (proxies/coupled sink); set ThermalStride to 0 or 1", cfg.ThermalStride)
-	}
-	if stride > 1 {
-		s.fast = true
-		s.stride = stride
-		s.powerAcc = make([]float64, nblk)
-		s.winTss = make([]float64, nblk)
+	if s.fast {
 		s.startWindow()
 	}
 
@@ -733,13 +717,13 @@ func (s *Sim) flushMetrics() {
 		m.StallCycles.Add(int64(res.StallCycles - s.mStalls))
 		s.mStalls = res.StallCycles
 	}
-	if res.EmergencyCycles > s.mEmerg {
-		m.EmergencyCycles.Add(int64(res.EmergencyCycles - s.mEmerg))
-		s.mEmerg = res.EmergencyCycles
+	if s.emerg > s.mEmerg {
+		m.EmergencyCycles.Add(int64(s.emerg - s.mEmerg))
+		s.mEmerg = s.emerg
 	}
-	if res.StressCycles > s.mStress {
-		m.StressCycles.Add(int64(res.StressCycles - s.mStress))
-		s.mStress = res.StressCycles
+	if s.stress > s.mStress {
+		m.StressCycles.Add(int64(s.stress - s.mStress))
+		s.mStress = s.stress
 	}
 	m.HotTemp.Set(s.hottestTemp())
 	m.Duty.Set(s.duty)
@@ -887,21 +871,16 @@ func (s *Sim) stepMember(act *pipeline.Activity, base []float64, stalled bool) f
 		if s.freqFactor != 1 {
 			stepDt = s.dt / s.freqFactor
 		}
-		acc := s.powerAcc
-		for i, p := range powerVec {
-			acc[i] += p
-		}
 		res.WallSeconds += stepDt
 		res.ThermalSeconds += stepDt
-		s.winFlushed = false
-		if s.winLeft--; s.winLeft == 0 {
-			s.flushWindow(s.winLen)
-			s.winFlushed = true
+		s.winFlushed = s.accumulate(powerVec)
+		if s.winFlushed {
+			s.flush(s.winLen, s.invF(), s.thermalTimer())
 			s.winFlushLen = s.winLen
 			s.startWindow()
 		}
 	} else {
-		s.stepEuler(powerVec, chip, cycle)
+		s.stepEuler(powerVec, chip)
 	}
 
 	if !stalled {
@@ -957,13 +936,11 @@ func (s *Sim) stepTail(chip float64) {
 // non-ideal, possibly partial) sensors. Manager state only changes on
 // sample boundaries (StepActuation early-returns off-boundary with the
 // actuation unchanged and the core setters are idempotent), so the whole
-// block — including the sensor reads — runs only on boundaries. When a
-// hierarchy also drives the duty, the per-cycle re-assert is kept. Called
+// block — including the sensor reads — runs only on boundaries. Called
 // from both the cycle-exact Step and the surrogate replay path (whose
 // windows are clamped to end exactly on sample boundaries).
 func (s *Sim) sampleDTM(cycle uint64) {
-	if s.mgr != nil &&
-		(s.hasHier || (s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0)) {
+	if s.mgr != nil && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
 		obs := s.temps
 		if s.monitor != nil {
 			s.sensed = s.sensed[:0]
@@ -988,7 +965,7 @@ func (s *Sim) sampleDTM(cycle uint64) {
 		s.actFetchLimit = a.FetchLimit
 		s.actMaxUnresolved = a.MaxUnresolved
 		s.stallLeft += stall
-		if s.hasMetrics && s.mgr.Interval != 0 && cycle%s.mgr.Interval == 0 {
+		if s.hasMetrics {
 			s.countDTMSample()
 		}
 	}
@@ -1016,11 +993,11 @@ func (s *Sim) sampleDTM(cycle uint64) {
 // scaling, carry-accumulated) Euler step, exact per-cycle bookkeeping,
 // and the per-cycle consumers that require it (Section 6 power proxies
 // and the coupled chip/sink extension).
-func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
+func (s *Sim) stepEuler(powerVec []float64, chip float64) {
 	res := s.res
-	timeStep := s.hasMetrics && cycle&thermalTimeMask == 0
+	timer := s.thermalTimer()
 	var t0 time.Time
-	if timeStep {
+	if timer != nil {
 		t0 = time.Now()
 	}
 	stepDt := s.dt
@@ -1038,34 +1015,10 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 		res.ThermalSeconds += float64(steps) * s.dt
 	}
 	res.WallSeconds += stepDt
-	if timeStep {
-		s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
+	if timer != nil {
+		timer.Observe(time.Since(t0).Seconds())
 	}
-
-	// Thermal bookkeeping.
-	s.net.Temps(s.temps)
-	anyEmerg, anyStress := false, false
-	for i, t := range s.temps {
-		s.blockTemp[i].Add(t)
-		br := &res.Blocks[i]
-		if t > br.MaxTemp {
-			br.MaxTemp = t
-		}
-		if t > s.cfg.Thresholds.Emergency {
-			br.EmergencyCycles++
-			anyEmerg = true
-		}
-		if t > s.cfg.Thresholds.Stress {
-			br.StressCycles++
-			anyStress = true
-		}
-	}
-	if anyEmerg {
-		res.EmergencyCycles++
-	}
-	if anyStress {
-		res.StressCycles++
-	}
+	anyEmerg := s.settle()
 
 	// Proxies.
 	if s.hasProxies {
@@ -1084,43 +1037,49 @@ func (s *Sim) stepEuler(powerVec []float64, chip float64, cycle uint64) {
 	}
 }
 
-// startWindow opens a new accumulation window at the current cycle.
-func (s *Sim) startWindow() {
-	s.winLen = s.nextWindowLen()
-	s.winLeft = s.winLen
+// invF returns the unit thermal steps per cycle at the current frequency
+// factor. Frequency factors change only on window-ending cycles after the
+// flush has run, so it is constant across every window.
+func (s *Sim) invF() float64 {
+	if s.freqFactor != 1 {
+		return 1 / s.freqFactor
+	}
+	return 1
 }
+
+// thermalTimer returns the histogram that times this cycle's thermal solve,
+// or nil off the sampled cycles.
+func (s *Sim) thermalTimer() *telemetry.Histogram {
+	if s.hasMetrics && s.cycle&thermalTimeMask == 0 {
+		return s.cfg.Metrics.ThermalStep
+	}
+	return nil
+}
+
+// startWindow opens a new accumulation window at the current cycle.
+func (s *Sim) startWindow() { s.openWindow(s.nextWindowLen()) }
 
 // nextWindowLen clamps the configured stride so the window ends no later
 // than the next cycle that must observe fresh temperatures: DTM sample
 // boundaries, scaling/hierarchy samples, telemetry timing and flush
 // points, structured-trace samples, time-series record cycles and the
-// cycle budget. Every clamp yields a length of at least one cycle
-// because the next boundary is always strictly ahead of the current
-// cycle.
+// cycle budget.
 func (s *Sim) nextWindowLen() uint64 {
 	c := s.cycle
 	w := s.stride
-	clampTo := func(interval uint64) {
-		if interval == 0 {
-			return
-		}
-		if d := (c/interval+1)*interval - c; d < w {
-			w = d
-		}
-	}
 	if s.mgr != nil {
-		clampTo(s.mgr.Interval)
+		w = cutWindow(w, c, s.mgr.Interval)
 	}
 	if s.hasScaling || s.hasHier {
-		clampTo(dtm.DefaultSampleInterval)
+		w = cutWindow(w, c, dtm.DefaultSampleInterval)
 	}
 	if s.hasMetrics {
 		// Aligning windows to the timing-sample stride also aligns them
 		// to the (coarser, multiple) metrics-flush stride.
-		clampTo(thermalTimeMask + 1)
+		w = cutWindow(w, c, thermalTimeMask+1)
 	}
 	if s.rec != nil {
-		clampTo(s.recEvery)
+		w = cutWindow(w, c, s.recEvery)
 	}
 	if s.hasTrace {
 		// Series record cycles are 1, 1+stride, 1+2·stride, …: the Euler
@@ -1130,156 +1089,9 @@ func (s *Sim) nextWindowLen() uint64 {
 		if c > 0 {
 			next = ((c-1)/ts+1)*ts + 1
 		}
-		if d := next - c; d < w {
-			w = d
-		}
+		w = min(w, next-c)
 	}
-	if s.cfg.MaxCycles > c {
-		if d := s.cfg.MaxCycles - c; d < w {
-			w = d
-		}
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
-}
-
-// flushWindow advances the RC network across a w-cycle window with the
-// closed-form exponential solution and reconstructs the per-cycle thermal
-// bookkeeping analytically. Within a constant-power window each block's
-// trajectory T(k) = tss + (T0−tss)·q^k (k = 1..w) is monotone toward its
-// steady state, so the per-block temperature sum, extrema and
-// above-threshold cycle counts follow from the endpoints and one
-// logarithm; the chip-level any-block-above counts are the exact union
-// of the per-block prefix (cooling) and suffix (heating) above-sets.
-// Frequency factors change only on window-ending cycles after the flush
-// has run, so s.freqFactor is constant across the window, and s.temps
-// still holds the window-start temperatures when this is called.
-func (s *Sim) flushWindow(w uint64) {
-	res := s.res
-	invF := 1.0
-	if s.freqFactor != 1 {
-		invF = 1 / s.freqFactor
-	}
-	acc := s.powerAcc
-	fw := float64(w)
-	for i := range acc {
-		acc[i] /= fw // accumulated energy -> mean window power
-	}
-	timeStep := s.hasMetrics && s.cycle&thermalTimeMask == 0
-	var t0 time.Time
-	if timeStep {
-		t0 = time.Now()
-	}
-	q1, qn, qsum := s.net.WindowCoef(w, invF)
-	s.net.StepWindow(acc, w, invF, s.winTss)
-	if timeStep {
-		s.cfg.Metrics.ThermalStep.Observe(time.Since(t0).Seconds())
-	}
-
-	emTh := s.cfg.Thresholds.Emergency
-	stTh := s.cfg.Thresholds.Stress
-	var emPre, emSuf, stPre, stSuf uint64
-	for i := range acc {
-		tss := s.winTss[i]
-		d0 := s.temps[i] - tss
-		t1 := tss + d0*q1[i]
-		tw := tss + d0*qn[i]
-		lo, hi := t1, tw
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s.blockTemp[i].AddSpan(w, tss*fw+d0*qsum[i], lo, hi)
-		br := &res.Blocks[i]
-		if hi > br.MaxTemp {
-			br.MaxTemp = hi
-		}
-		lnq := invF * s.net.LogDecay(i)
-		if c, prefix := windowAbove(tss, d0, lnq, w, emTh, t1, tw); c > 0 {
-			br.EmergencyCycles += c
-			if prefix {
-				if c > emPre {
-					emPre = c
-				}
-			} else if c > emSuf {
-				emSuf = c
-			}
-		}
-		if c, prefix := windowAbove(tss, d0, lnq, w, stTh, t1, tw); c > 0 {
-			br.StressCycles += c
-			if prefix {
-				if c > stPre {
-					stPre = c
-				}
-			} else if c > stSuf {
-				stSuf = c
-			}
-		}
-		acc[i] = 0
-	}
-	// A prefix [1..p] and a suffix of length q union to min(p+q, w)
-	// cycles: disjoint when p+q <= w, the whole window otherwise.
-	if u := emPre + emSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.EmergencyCycles += u
-	}
-	if u := stPre + stSuf; u > 0 {
-		if u > w {
-			u = w
-		}
-		res.StressCycles += u
-	}
-	s.net.Temps(s.temps)
-}
-
-// windowAbove counts the cycles k in [1..w] whose closed-form temperature
-// tss + d0·exp(k·lnq) exceeds thr, and reports whether the above-set is a
-// prefix (true: cooling, or the whole window) or a suffix (false:
-// heating) of the window. t1 and tw are the precomputed endpoint
-// temperatures; monotonicity makes the endpoint checks decisive, and the
-// logarithmic crossing estimate is corrected with exact comparisons so
-// float error in the solve cannot shift the count.
-func windowAbove(tss, d0, lnq float64, w uint64, thr, t1, tw float64) (uint64, bool) {
-	if t1 <= thr && tw <= thr {
-		return 0, true
-	}
-	if t1 > thr && tw > thr {
-		return w, true
-	}
-	above := func(k uint64) bool {
-		return d0*math.Exp(float64(k)*lnq) > thr-tss
-	}
-	kf := math.Log((thr-tss)/d0) / lnq
-	var c uint64
-	switch {
-	case !(kf > 1):
-		c = 1
-	case kf >= float64(w):
-		c = w
-	default:
-		c = uint64(kf)
-	}
-	if d0 > 0 {
-		// Cooling: the above-set is the prefix [1..c].
-		for c > 0 && !above(c) {
-			c--
-		}
-		for c < w && above(c+1) {
-			c++
-		}
-		return c, true
-	}
-	// Heating: the above-set is the suffix [c..w].
-	for c > 1 && above(c-1) {
-		c--
-	}
-	for c <= w && !above(c) {
-		c++
-	}
-	return w - c + 1, false
+	return windowLen(c, w, s.cfg.MaxCycles)
 }
 
 // countDTMSample tallies one controller sampling event and, when the
@@ -1311,22 +1123,18 @@ func (s *Sim) Finish() *Result {
 		return res
 	}
 	s.finished = true
-	// Flush a partially filled fast-path window so every simulated cycle
-	// is accounted for in the thermal statistics. No record cycle can
-	// fall inside the partial span (the window was clamped to end at the
-	// next one), so the trace phase just advances.
-	if s.fast {
-		if elapsed := s.winLen - s.winLeft; elapsed > 0 {
-			s.flushWindow(elapsed)
-			if s.hasTrace {
-				res.TempTrace.Bump(elapsed)
-				res.DutyTrace.Bump(elapsed)
-				for i := range res.BlockTrace {
-					res.BlockTrace[i].Bump(elapsed)
-				}
-			}
+	// No record cycle can fall inside a partial fast-path window (the
+	// window was clamped to end at the next one), so the trace phase just
+	// advances over it.
+	if partial := s.finish(s.invF(), s.thermalTimer()); partial > 0 && s.hasTrace {
+		res.TempTrace.Bump(partial)
+		res.DutyTrace.Bump(partial)
+		for i := range res.BlockTrace {
+			res.BlockTrace[i].Bump(partial)
 		}
 	}
+	res.EmergencyCycles = s.emerg
+	res.StressCycles = s.stress
 	st := s.core.Stats()
 	res.Cycles = s.cycle
 	res.Insts = st.Committed + s.virtInsts
@@ -1337,9 +1145,6 @@ func (s *Sim) Finish() *Result {
 	res.AvgChipPower = s.chipPower.Mean()
 	if s.mgr != nil {
 		res.Engagements = s.mgr.Engagements()
-	}
-	for i := range res.Blocks {
-		res.Blocks[i].AvgTemp = s.blockTemp[i].Mean()
 	}
 	if s.chipNode != nil {
 		res.SinkDrift = s.chipNode.T - s.cfg.Thresholds.SinkTemp
@@ -1361,6 +1166,20 @@ const ctxCheckInterval = 1 << 10
 
 // Run steps the simulation to completion, polling ctx every few thousand
 // cycles; on cancellation it returns the context error and a nil result.
+func (s *Sim) Run(ctx context.Context) (*Result, error) {
+	p := newRunPacer(ctx)
+	for !s.Done() {
+		s.Step()
+		if err := p.poll(s.cycle); err != nil {
+			return nil, err
+		}
+	}
+	return s.Finish(), nil
+}
+
+// runPacer paces the context polls and scheduler yields of a run loop
+// (Sim, Multicore and Gang): one checkpoint every ctxCheckInterval units
+// of progress.
 //
 // Each checkpoint also yields the processor (runtime.Gosched). A
 // simulation is a pure CPU loop with no natural scheduling points, so
@@ -1368,24 +1187,35 @@ const ctxCheckInterval = 1 << 10
 // goroutines — cmd/serve's admission/shed path — behind the ~10ms async
 // preemption quantum. One yield per ~1.6ms of simulated work costs well
 // under 0.1% and never changes the simulated trajectory.
-func (s *Sim) Run(ctx context.Context) (*Result, error) {
-	done := ctx.Done()
-	check := uint64(ctxCheckInterval)
-	for !s.Done() {
-		s.Step()
-		if s.cycle >= check {
-			check = s.cycle + ctxCheckInterval
-			if done != nil {
-				select {
-				case <-done:
-					return nil, context.Cause(ctx)
-				default:
-				}
-			}
-			runtime.Gosched()
+type runPacer struct {
+	ctx  context.Context
+	next uint64
+}
+
+func newRunPacer(ctx context.Context) runPacer {
+	return runPacer{ctx: ctx, next: ctxCheckInterval}
+}
+
+// poll returns the context's cause once it is cancelled, checking only
+// when progress has reached the next checkpoint.
+func (p *runPacer) poll(progress uint64) error {
+	if progress < p.next {
+		return nil
+	}
+	return p.checkpoint(progress)
+}
+
+func (p *runPacer) checkpoint(progress uint64) error {
+	p.next = progress + ctxCheckInterval
+	if done := p.ctx.Done(); done != nil {
+		select {
+		case <-done:
+			return context.Cause(p.ctx)
+		default:
 		}
 	}
-	return s.Finish(), nil
+	runtime.Gosched()
+	return nil
 }
 
 // BlockByID returns the BlockResult for a floorplan block, or nil.

@@ -348,7 +348,7 @@ func (s *Sim) replayMember(cal *surCal, w, n uint64, carry float64) float64 {
 	res.ThermalSeconds += stepDt * fw
 
 	s.cycle += w
-	s.flushWindow(w)
+	s.flush(w, s.invF(), s.thermalTimer())
 	s.winFlushed = true
 	s.winFlushLen = w
 
